@@ -18,27 +18,28 @@
 // reports the first bad segment+offset; see SECURITY.md, "Audit trust
 // model", for exactly what each layer does and does not prove.
 //
-// The storage machinery is patterned on internal/relay/wal — CRC +
-// length-prefix framing, numbered segments, staged appends drained by a
-// background flusher with the fsync off the append lock — with one
-// deliberate difference: rotation NEVER deletes. The WAL compacts
-// because it tracks live queue state; an audit journal's whole point is
-// history, so outgrowing SegmentBytes just starts a fresh segment and
-// the old ones stay, hash-chained across the boundary.
+// The storage is built on internal/seglog, the engine under the relay
+// WAL too: CRC + length-prefix framing, numbered segments, staged
+// appends drained by a background flusher with the fsync off the append
+// lock, fault points and sticky failure. The journal's policy differs
+// from the WAL's in two deliberate ways. Rotation NEVER deletes: the
+// WAL compacts because it tracks live queue state; an audit journal's
+// whole point is history, so outgrowing SegmentBytes just starts a
+// fresh segment and the old ones stay, hash-chained across the
+// boundary. And replay refuses damage beyond a crash's torn tail
+// (ErrJournalDamaged) instead of skipping it.
 package audit
 
 import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/seglog"
 )
 
 // Event kinds. The vocabulary is part of the operational surface
@@ -88,15 +89,18 @@ type Event struct {
 }
 
 // ErrJournalFailed is returned by Sync/Close after the journal has
-// failed (an I/O error). Appends after a failure are silently counted
-// as lost — the security surface keeps working; the journal just stops
-// being written, exactly like a dying disk.
+// failed (an I/O error or an injected crash). The journal fails open:
+// appends after a failure are counted as lost (Stats.Lost, exported as
+// audit_lost_total) and return 0 without blocking — the security
+// surface keeps working; the journal just stops being written, exactly
+// like a dying disk.
 var ErrJournalFailed = errors.New("audit: journal failed")
 
-// ErrJournalDamaged is returned by Open when a non-final segment (or a
-// non-tail region) fails to replay. Unlike the relay WAL, the journal
-// refuses to append onto a broken chain: damage beyond a crash's torn
-// tail is evidence, and evidence wants Verify, not overwriting.
+// ErrJournalDamaged is returned by Open when anything but a torn tail
+// on the last segment holding data fails to replay. Unlike the relay
+// WAL, the journal refuses to append onto a broken chain: damage beyond
+// a crash's torn tail is evidence, and evidence wants Verify, not
+// overwriting.
 var ErrJournalDamaged = errors.New("audit: journal damaged")
 
 // Options parameterizes a Journal.
@@ -126,6 +130,8 @@ type Options struct {
 	// RingSize bounds the in-memory query ring backing /debug/audit
 	// (0 = 4096).
 	RingSize int
+	// Faults is the deterministic fault-injection hook (nil = none).
+	Faults seglog.FaultFunc
 }
 
 // Stats is a point-in-time snapshot of journal counters.
@@ -138,8 +144,8 @@ type Stats struct {
 	Checkpoints uint64
 	// Lost counts events dropped because the journal had failed.
 	Lost uint64
-	// TornBytes is how many trailing bytes Open truncated off the final
-	// segment (a crash mid-append).
+	// TornBytes is how many trailing bytes Open truncated off the last
+	// segment holding data (a crash mid-append).
 	TornBytes int64
 	// Segments is the number of on-disk segments (history included).
 	Segments int
@@ -154,20 +160,8 @@ type Journal struct {
 	opts  Options
 	every int
 
-	// syncMu serializes batched fsyncs (the flusher and Sync), acquired
-	// BEFORE mu and never while holding it — the write+fsync run with mu
-	// released so appends keep flowing while the disk catches up (same
-	// split as the relay WAL).
-	syncMu sync.Mutex
-
-	mu        sync.Mutex
-	f         *os.File
-	segFirst  int // lowest on-disk segment index (history floor)
-	segIndex  int // active segment index
-	segBytes  int64
-	buf       []byte // reusable encode buffer (inline mode + checkpoints)
-	stage     []byte // batched mode: encoded records awaiting the flusher
-	spare     []byte // recycled staging buffer
+	mu        sync.Mutex // guards the fields below and the segment log
+	log       *seglog.Log[Record]
 	seq       uint64
 	head      [HashSize]byte
 	sinceCkpt int // records since the last checkpoint
@@ -176,13 +170,9 @@ type Journal struct {
 	ckpts     uint64
 	lost      uint64
 	tornBytes int64
-	err       error // sticky failure
 
 	ring     []ringEntry
 	ringNext int
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 type ringEntry struct {
@@ -191,21 +181,14 @@ type ringEntry struct {
 	ev   Event
 }
 
-const defaultSegmentBytes = 4 << 20
-
-func segName(i int) string { return fmt.Sprintf("audit-%08d.seg", i) }
-
 // Open replays the segments in dir (creating it if needed) and returns
 // the journal ready for appends, its chain state restored. A torn tail
-// on the final segment is truncated away (crash artifact); any other
-// damage fails with ErrJournalDamaged — run Verify on the directory to
-// locate it.
+// on the last segment holding data is truncated away (crash artifact);
+// any other damage fails with ErrJournalDamaged — run Verify on the
+// directory to locate it.
 func Open(opts Options) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("audit: Options.Dir is required")
-	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -220,113 +203,41 @@ func Open(opts Options) (*Journal, error) {
 	if every == 0 {
 		every = 256
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	segs, err := listSegments(opts.Dir)
+	j := &Journal{opts: opts, every: every, ring: make([]ringEntry, opts.RingSize)}
+	log, torn, err := seglog.Open(seglog.Options[Record]{
+		Dir: opts.Dir, Format: format, Mu: &j.mu,
+		SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
+		Faults: opts.Faults, Failed: ErrJournalFailed,
+		Encode: AppendRecord,
+		Replay: j.replay,
+		Damaged: func(loc seglog.Loc, err error, tail bool) error {
+			if tail && errors.Is(err, ErrShortRecord) {
+				return nil // a crash's torn write: truncate and resume
+			}
+			return fmt.Errorf("%w: %s@%d: %v", ErrJournalDamaged, loc.Segment, loc.Offset, err)
+		},
+		BeforeFlush: j.maybeCheckpointLocked,
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	j := &Journal{
-		opts:  opts,
-		every: every,
-		ring:  make([]ringEntry, opts.RingSize),
-		stop:  make(chan struct{}),
-	}
-	// The torn-tail allowance applies to the last segment holding any
-	// data, not merely the last file: rotation opens the next segment
-	// the moment the old one fills, so a crash (or a truncation) right
-	// at the boundary leaves the torn record in a segment followed only
-	// by empty ones.
-	lastData := -1
-	for si, seg := range segs {
-		if fi, serr := os.Stat(filepath.Join(opts.Dir, segName(seg))); serr == nil && fi.Size() > 0 {
-			lastData = si
-		}
-	}
-	for si, seg := range segs {
-		final := si >= lastData
-		if err := j.replaySegment(filepath.Join(opts.Dir, segName(seg)), final); err != nil {
-			return nil, err
-		}
-	}
-
-	j.segFirst, j.segIndex = 0, 0
-	if len(segs) > 0 {
-		j.segFirst = segs[0]
-		j.segIndex = segs[len(segs)-1]
-	}
-	path := filepath.Join(opts.Dir, segName(j.segIndex))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if fi, err := f.Stat(); err == nil {
-		j.segBytes = fi.Size()
-	}
-	j.f = f
-
-	if opts.SyncInterval > 0 {
-		j.wg.Add(1)
-		go j.flusher(j.stop)
-	}
+	j.log, j.tornBytes = log, torn
 	return j, nil
 }
 
-func listSegments(dir string) ([]int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []int
-	for _, e := range entries {
-		var i int
-		if n, _ := fmt.Sscanf(e.Name(), "audit-%d.seg", &i); n == 1 {
-			segs = append(segs, i)
-		}
-	}
-	sort.Ints(segs)
-	return segs, nil
-}
-
-// replaySegment re-derives the chain state (seq, head) across one
-// segment. The chain links are re-checked during replay: appending onto
-// an already broken chain would launder the break into "it verified
-// when written".
-func (j *Journal) replaySegment(path string, final bool) error {
-	data, err := os.ReadFile(path)
+// replay re-derives the chain state (seq, head) from one record. The
+// links are re-checked: appending onto an already broken chain would
+// launder the break into "it verified when written".
+func (j *Journal) replay(framed []byte) error {
+	rec, _, err := DecodeRecord(framed)
 	if err != nil {
 		return err
 	}
-	off := 0
-	for off < len(data) {
-		rec, n, derr := DecodeRecord(data[off:])
-		if derr != nil {
-			if final && errors.Is(derr, ErrShortRecord) {
-				// Crash artifact: truncate so appends resume at a clean
-				// boundary. Anything else is damage, not a crash.
-				j.tornBytes = int64(len(data) - off)
-				if terr := os.Truncate(path, int64(off)); terr != nil {
-					return terr
-				}
-				return nil
-			}
-			return fmt.Errorf("%w: %s@%d: %v", ErrJournalDamaged, filepath.Base(path), off, derr)
-		}
-		if rec.Seq != j.seq+1 || rec.Prev != j.head {
-			return fmt.Errorf("%w: %s@%d: hash chain break at seq %d", ErrJournalDamaged, filepath.Base(path), off, rec.Seq)
-		}
-		j.head = sha256.Sum256(data[off : off+n])
-		j.seq = rec.Seq
-		j.recovered++
-		if rec.Frame == FrameEvent {
-			j.storeRing(rec.Seq, rec.Time, Event{
-				Kind: rec.Kind, Peer: rec.Peer, Op: rec.Op, Reason: rec.Reason, Trace: rec.Trace,
-			})
-		}
-		off += n
+	if rec.Seq != j.seq+1 || rec.Prev != j.head {
+		return fmt.Errorf("hash chain break at seq %d", rec.Seq)
 	}
+	j.link(rec, framed)
+	j.recovered++
 	return nil
 }
 
@@ -343,32 +254,18 @@ func (j *Journal) Record(e Event) uint64 {
 	clampEvent(&e)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
-		j.lost++
-		return 0
-	}
 	rec := Record{
 		Frame: FrameEvent, Seq: j.seq + 1, Prev: j.head,
 		Time:  j.opts.Clock().UnixNano(),
 		Trace: e.Trace, Kind: e.Kind, Peer: e.Peer, Op: e.Op, Reason: e.Reason,
 	}
-	if j.opts.SyncInterval > 0 {
-		start := len(j.stage)
-		var err error
-		j.stage, err = AppendRecord(j.stage, rec)
-		if err != nil {
-			j.fail(err)
-			j.lost++
-			return 0
-		}
-		j.commitLocked(rec, j.stage[start:])
-		return rec.Seq
-	}
-	if err := j.writeLocked(rec); err != nil {
+	if !j.appendLocked(rec) {
 		j.lost++
 		return 0
 	}
-	j.maybeCheckpointLocked()
+	if j.opts.SyncInterval <= 0 {
+		j.maybeCheckpointLocked()
+	}
 	return rec.Seq
 }
 
@@ -388,205 +285,84 @@ func clampEvent(e *Event) {
 	}
 }
 
-// commitLocked advances the chain over one encoded record.
-func (j *Journal) commitLocked(rec Record, framed []byte) {
-	j.head = sha256.Sum256(framed)
-	j.seq = rec.Seq
+// appendLocked appends rec and advances the chain over it. Any failure
+// is sticky: the journal stops rather than write past a gap.
+func (j *Journal) appendLocked(rec Record) bool {
+	framed, err := j.log.Append(rec)
+	if err != nil {
+		j.log.Fail(err)
+		return false
+	}
+	j.link(rec, framed)
 	j.appended++
 	j.sinceCkpt++
-	if rec.Frame == FrameEvent {
-		j.storeRing(rec.Seq, rec.Time, Event{
-			Kind: rec.Kind, Peer: rec.Peer, Op: rec.Op, Reason: rec.Reason, Trace: rec.Trace,
-		})
-	} else {
+	if rec.Frame == FrameCheckpoint {
 		j.ckpts++
 		j.sinceCkpt = 0
 	}
+	return true
 }
 
-func (j *Journal) storeRing(seq uint64, ts int64, ev Event) {
-	j.ring[j.ringNext] = ringEntry{seq: seq, time: ts, ev: ev}
-	j.ringNext = (j.ringNext + 1) % len(j.ring)
-}
-
-// writeLocked encodes and writes one record inline (sync-per-append and
-// never-sync modes), fsyncing when SyncInterval is 0.
-func (j *Journal) writeLocked(rec Record) error {
-	var err error
-	j.buf, err = AppendRecord(j.buf[:0], rec)
-	if err != nil {
-		j.fail(err)
-		return err
+// link advances the chain head over one framed record.
+func (j *Journal) link(rec Record, framed []byte) {
+	j.head = sha256.Sum256(framed)
+	j.seq = rec.Seq
+	if rec.Frame == FrameEvent {
+		j.ring[j.ringNext] = ringEntry{seq: rec.Seq, time: rec.Time, ev: Event{
+			Kind: rec.Kind, Peer: rec.Peer, Op: rec.Op, Reason: rec.Reason, Trace: rec.Trace,
+		}}
+		j.ringNext = (j.ringNext + 1) % len(j.ring)
 	}
-	n, err := j.f.Write(j.buf)
-	j.segBytes += int64(n)
-	if err != nil {
-		j.fail(err)
-		return err
-	}
-	j.commitLocked(rec, j.buf)
-	if j.opts.SyncInterval == 0 {
-		if err := j.f.Sync(); err != nil {
-			j.fail(err)
-			return err
-		}
-	}
-	return j.maybeRotateLocked()
 }
 
 // maybeCheckpointLocked seals the chain when enough records have
-// accumulated. The RSA signature runs with mu held — a deliberate
-// trade: a checkpoint every CheckpointEvery records stalls appends for
-// one signature (~hundreds of µs), amortizing to well under the cost of
-// the events it covers, and keeping the signed head exactly consistent
-// with the chain position without a reservation protocol.
+// accumulated. With a positive SyncInterval it runs in the flusher
+// (seglog's BeforeFlush), keeping the signature off Record's path; in
+// the inline modes it runs after the append that made it due. The RSA
+// signature runs with mu held — a deliberate trade: a checkpoint every
+// CheckpointEvery records stalls appends for one signature (~hundreds
+// of µs), amortizing to well under the cost of the events it covers,
+// and keeping the signed head exactly consistent with the chain
+// position without a reservation protocol.
 func (j *Journal) maybeCheckpointLocked() {
-	if j.opts.Signer == nil || j.every < 0 || j.sinceCkpt < j.every {
-		return
+	if j.every > 0 && j.sinceCkpt >= j.every {
+		j.checkpointLocked()
 	}
-	j.checkpointLocked()
 }
 
 func (j *Journal) checkpointLocked() {
-	if j.opts.Signer == nil || j.sinceCkpt == 0 || j.err != nil {
+	if j.opts.Signer == nil || j.sinceCkpt == 0 || j.log.Err() != nil {
 		return
 	}
 	rec := Record{Frame: FrameCheckpoint, Seq: j.seq + 1, Prev: j.head, Time: j.opts.Clock().UnixNano()}
 	payload, err := buildCheckpoint(rec.Seq, rec.Prev, time.Unix(0, rec.Time), j.opts.Signer, j.opts.Chain)
 	if err != nil {
-		j.fail(err)
+		j.log.Fail(err)
 		return
 	}
 	rec.Checkpoint = payload
-	if j.opts.SyncInterval > 0 {
-		start := len(j.stage)
-		if j.stage, err = AppendRecord(j.stage, rec); err != nil {
-			j.fail(err)
-			return
-		}
-		j.commitLocked(rec, j.stage[start:])
-		return
-	}
-	_ = j.writeLocked(rec)
+	j.appendLocked(rec)
 }
 
-// maybeRotateLocked starts a fresh segment once the active one outgrows
-// its budget. Nothing is deleted — the journal is history.
-func (j *Journal) maybeRotateLocked() error {
-	if j.segBytes < j.opts.SegmentBytes {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		j.fail(err)
-		return err
-	}
-	next := j.segIndex + 1
-	nf, err := os.OpenFile(filepath.Join(j.opts.Dir, segName(next)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.fail(err)
-		return err
-	}
-	j.f.Close()
-	j.f = nf
-	j.segIndex = next
-	j.segBytes = 0
-	return nil
-}
-
-// Sync forces the staged batch (if any) to disk.
+// Sync writes the staged batch (if any), sealing a due checkpoint
+// first, and fsyncs it.
 func (j *Journal) Sync() error {
 	if j == nil {
 		return nil
 	}
-	return j.syncBatch(false)
+	return j.log.Sync()
 }
 
-// syncBatch drains the staging buffer with one write+fsync, mu released
-// during the syscalls (the WAL's lock split). With checkpoint=true a
-// due (or final) checkpoint is staged first.
-func (j *Journal) syncBatch(checkpoint bool) error {
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
-		return err
-	}
-	if checkpoint {
-		j.checkpointLocked()
-	} else if j.opts.Signer != nil && j.every > 0 && j.sinceCkpt >= j.every {
-		j.checkpointLocked()
-	}
-	if len(j.stage) == 0 {
-		j.mu.Unlock()
-		return nil
-	}
-	batch := j.stage
-	j.stage = j.spare[:0]
-	j.spare = nil
-	f := j.f
-	j.mu.Unlock()
-
-	written, werr := f.Write(batch)
-	var serr error
-	if werr == nil {
-		serr = f.Sync()
-	}
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if cap(batch) > cap(j.spare) {
-		j.spare = batch[:0]
-	}
-	j.segBytes += int64(written)
-	if werr != nil {
-		j.fail(werr)
-		return werr
-	}
-	if serr != nil {
-		j.fail(serr)
-		return serr
-	}
-	return j.maybeRotateLocked()
-}
-
-func (j *Journal) fail(err error) {
-	if j.err == nil {
-		j.err = fmt.Errorf("%w: %w", ErrJournalFailed, err)
-	}
-}
-
-func (j *Journal) flusher(stop <-chan struct{}) {
-	defer j.wg.Done()
-	t := time.NewTicker(j.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_ = j.syncBatch(false)
-		}
-	}
-}
-
-// Checkpoint seals the chain now, regardless of cadence (tests, and
-// operators wanting a fresh attestation before archiving).
+// Checkpoint seals the chain now, regardless of cadence, and syncs it
+// (tests, and operators wanting a fresh attestation before archiving).
 func (j *Journal) Checkpoint() error {
 	if j == nil {
 		return nil
 	}
-	if j.opts.SyncInterval > 0 {
-		return j.syncBatch(true)
-	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
 	j.checkpointLocked()
-	return j.err
+	j.mu.Unlock()
+	return j.log.Sync()
 }
 
 // Close seals the chain with a final checkpoint, flushes and closes.
@@ -595,42 +371,9 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.mu.Lock()
-	if j.stop != nil {
-		close(j.stop)
-		j.stop = nil
-	}
-	failed := j.err != nil
+	j.checkpointLocked()
 	j.mu.Unlock()
-	j.wg.Wait()
-	var err error
-	if !failed {
-		if j.opts.SyncInterval > 0 {
-			err = j.syncBatch(true)
-		} else {
-			j.mu.Lock()
-			j.checkpointLocked()
-			err = j.err
-			j.mu.Unlock()
-		}
-		if err == nil {
-			j.mu.Lock()
-			if j.f != nil {
-				err = j.f.Sync()
-			}
-			j.mu.Unlock()
-		}
-	}
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		if cerr := j.f.Close(); err == nil {
-			err = cerr
-		}
-		j.f = nil
-	}
-	return err
+	return j.log.Close()
 }
 
 // Head returns the current chain head — the externally rememberable
@@ -665,8 +408,8 @@ func (j *Journal) Stats() Stats {
 		Checkpoints: j.ckpts,
 		Lost:        j.lost,
 		TornBytes:   j.tornBytes,
-		Segments:    j.segIndex - j.segFirst + 1,
+		Segments:    j.log.Segments(),
 		Seq:         j.seq,
-		Failed:      j.err != nil,
+		Failed:      j.log.Err() != nil,
 	}
 }

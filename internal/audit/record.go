@@ -4,14 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"jxtaoverlay/internal/seglog"
 )
 
-// Wire layout of one record:
+// Wire layout of one record body, inside the seglog frame (uint32 LE
+// length, uint32 LE CRC-32C):
 //
-//	uint32 LE  body length
-//	uint32 LE  CRC-32C (Castagnoli) of body
-//	body:
 //	  [0]      version (1)
 //	  [1]      frame (FrameEvent | FrameCheckpoint)
 //	  [2:10]   uint64 LE sequence number (1-based, strictly consecutive)
@@ -52,7 +51,6 @@ const (
 
 const (
 	recordVersion = 1
-	headerSize    = 8 // length + CRC
 
 	// HashSize is the width of the prev-hash chain link (SHA-256).
 	HashSize = 32
@@ -82,7 +80,12 @@ var (
 	ErrCorruptRecord = errors.New("audit: corrupt record")
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// format names the journal's segments and bounds its frames.
+var format = seglog.Format{
+	Prefix: "audit-", Suffix: ".seg",
+	MinBody: fixedBody, MaxBody: MaxCheckpointBytes + 64,
+	Short: ErrShortRecord, Corrupt: ErrCorruptRecord,
+}
 
 // Record is one journal entry.
 type Record struct {
@@ -108,9 +111,7 @@ type Record struct {
 // AppendRecord encodes rec onto dst and returns the extended slice.
 func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header backfilled below
-	bodyStart := len(dst)
-	dst = append(dst, recordVersion, byte(rec.Frame))
+	dst = append(seglog.Begin(dst), recordVersion, byte(rec.Frame))
 	dst = binary.LittleEndian.AppendUint64(dst, rec.Seq)
 	dst = append(dst, rec.Prev[:]...)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Time))
@@ -134,10 +135,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	default:
 		return dst[:start], fmt.Errorf("%w: bad frame %d", ErrCorruptRecord, rec.Frame)
 	}
-	body := dst[bodyStart:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, crcTable))
-	return dst, nil
+	return seglog.End(dst, start), nil
 }
 
 // DecodeRecord decodes one record from the front of b, returning the
@@ -147,19 +145,9 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 // Checkpoint aliases b.
 func DecodeRecord(b []byte) (Record, int, error) {
 	var rec Record
-	if len(b) < headerSize {
-		return rec, 0, ErrShortRecord
-	}
-	bodyLen := binary.LittleEndian.Uint32(b)
-	if bodyLen < fixedBody || bodyLen > MaxCheckpointBytes+64 {
-		return rec, 0, fmt.Errorf("%w: implausible body length %d", ErrCorruptRecord, bodyLen)
-	}
-	if uint32(len(b)-headerSize) < bodyLen {
-		return rec, 0, ErrShortRecord
-	}
-	body := b[headerSize : headerSize+int(bodyLen)]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return rec, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
+	body, n, err := format.Split(b)
+	if err != nil {
+		return rec, 0, err
 	}
 	if body[0] != recordVersion {
 		return rec, 0, fmt.Errorf("%w: version %d", ErrCorruptRecord, body[0])
@@ -177,7 +165,6 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		rec.Trace = binary.LittleEndian.Uint64(rest)
 		rest = rest[8:]
 		var field []byte
-		var err error
 		for _, dst := range [...]*string{&rec.Kind, &rec.Peer, &rec.Op, &rec.Reason} {
 			if field, rest, err = take16(rest); err != nil {
 				return rec, 0, err
@@ -202,7 +189,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	default:
 		return rec, 0, fmt.Errorf("%w: bad frame %d", ErrCorruptRecord, body[1])
 	}
-	return rec, headerSize + int(bodyLen), nil
+	return rec, n, nil
 }
 
 func take16(b []byte) (field, rest []byte, err error) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"jxtaoverlay/internal/seglog"
 )
 
 // Disk-adversary helpers: the attack suite (and the property test)
@@ -18,83 +20,63 @@ var ErrNoRecords = errors.New("audit: journal has no records")
 
 // Loc names one record's position on disk.
 type Loc struct {
-	Segment string // file name within the journal directory
-	Offset  int64  // byte offset of the record's header
-	Size    int64  // framed size (header + body)
-	Seq     uint64
-	Frame   Frame
+	seglog.Loc // Segment (file name), Offset (of the header), Size (framed)
+	Seq        uint64
+	Frame      Frame
 }
 
-// scan decodes every record in every segment, returning their
-// locations in order. Damage mid-scan stops the scan (the helpers
-// only need the intact prefix).
+// scan locates every record of the journal's intact prefix, in order
+// (the helpers only need what decodes).
 func scan(dir string) ([]Loc, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
 	var locs []Loc
-	for _, seg := range segs {
-		name := segName(seg)
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	for seg, err := range seglog.Scan(dir, format) {
 		if err != nil {
 			return nil, err
 		}
-		var off int64
-		for off < int64(len(data)) {
-			rec, n, derr := DecodeRecord(data[off:])
-			if derr != nil {
+		for r, err := range seg.Records() {
+			if err != nil {
 				return locs, nil
 			}
-			locs = append(locs, Loc{Segment: name, Offset: off, Size: int64(n), Seq: rec.Seq, Frame: rec.Frame})
-			off += int64(n)
+			rec, _, err := DecodeRecord(r.Bytes)
+			if err != nil {
+				return locs, nil
+			}
+			locs = append(locs, Loc{Loc: r.Loc, Seq: rec.Seq, Frame: rec.Frame})
 		}
 	}
 	return locs, nil
 }
 
+// lastRecord locates the journal's last intact record.
+func lastRecord(dir string) (Loc, error) {
+	locs, err := scan(dir)
+	if err != nil {
+		return Loc{}, err
+	}
+	if len(locs) == 0 {
+		return Loc{}, ErrNoRecords
+	}
+	return locs[len(locs)-1], nil
+}
+
 // FlipBit flips one bit in the middle of the last record's body — the
 // single-bit disk error (or the crudest tamper). The CRC catches it.
 func FlipBit(dir string) (Loc, error) {
-	locs, err := scan(dir)
+	loc, err := lastRecord(dir)
 	if err != nil {
 		return Loc{}, err
 	}
-	if len(locs) == 0 {
-		return Loc{}, ErrNoRecords
-	}
-	loc := locs[len(locs)-1]
-	pos := loc.Offset + headerSize + (loc.Size-headerSize)/2
-	return loc, flipBitAt(filepath.Join(dir, loc.Segment), pos)
+	return loc, seglog.Flip(dir, loc.Loc)
 }
 
-func flipBitAt(path string, pos int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], pos); err != nil {
-		return err
-	}
-	b[0] ^= 0x10
-	_, err = f.WriteAt(b[:], pos)
-	return err
-}
-
-// TearRecord truncates the final segment halfway through its last
-// record — the torn write a crash (or a truncation attack) leaves.
+// TearRecord truncates the journal halfway through its last record —
+// the torn write a crash (or a truncation attack) leaves.
 func TearRecord(dir string) (Loc, error) {
-	locs, err := scan(dir)
+	loc, err := lastRecord(dir)
 	if err != nil {
 		return Loc{}, err
 	}
-	if len(locs) == 0 {
-		return Loc{}, ErrNoRecords
-	}
-	loc := locs[len(locs)-1]
-	return loc, os.Truncate(filepath.Join(dir, loc.Segment), loc.Offset+loc.Size/2)
+	return loc, seglog.Tear(dir, format, loc.Loc)
 }
 
 // SwapRecords swaps the last two records that share a segment — a
@@ -149,25 +131,5 @@ func Rollback(dir string) (Loc, error) {
 		return Loc{}, fmt.Errorf("%w: need a non-final checkpoint to roll back to", ErrNoRecords)
 	}
 	loc := locs[ckpt]
-	if err := os.Truncate(filepath.Join(dir, loc.Segment), loc.Offset+loc.Size); err != nil {
-		return Loc{}, err
-	}
-	// Drop every segment after the one we truncated into.
-	segs, err := listSegments(dir)
-	if err != nil {
-		return Loc{}, err
-	}
-	cut := false
-	for _, seg := range segs {
-		name := segName(seg)
-		if cut {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return Loc{}, err
-			}
-		}
-		if name == loc.Segment {
-			cut = true
-		}
-	}
-	return loc, nil
+	return loc, seglog.Cut(dir, format, loc.Loc)
 }

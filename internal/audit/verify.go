@@ -4,11 +4,10 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"jxtaoverlay/internal/cred"
+	"jxtaoverlay/internal/seglog"
 )
 
 // VerifyOptions parameterizes a full-chain verification.
@@ -97,67 +96,28 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 	if opts.Now.IsZero() {
 		opts.Now = time.Now()
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
 	r := &Report{}
-	var head [HashSize]byte
-	var seq uint64
 	lastSegName := ""
 	var lastSegEnd int64
 
 walk:
-	for _, seg := range segs {
-		name := segName(seg)
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	for seg, err := range seglog.Scan(dir, format) {
 		if err != nil {
 			return nil, err
 		}
 		r.Segments++
-		lastSegName, lastSegEnd = name, int64(len(data))
-		var off int64
-		for off < int64(len(data)) {
-			rec, n, derr := DecodeRecord(data[off:])
-			if derr != nil {
-				r.Fault = &Fault{Segment: name, Offset: off, Seq: seq, Reason: derr.Error()}
+		lastSegName, lastSegEnd = seg.Name, int64(len(seg.Data))
+		for rec, err := range seg.Records() {
+			if err == nil {
+				err = r.extend(rec.Bytes, opts)
+			}
+			if err != nil {
+				r.Fault = &Fault{Segment: seg.Name, Offset: rec.Offset, Seq: r.LastSeq, Reason: err.Error()}
 				break walk
 			}
-			if rec.Seq != seq+1 {
-				r.Fault = &Fault{Segment: name, Offset: off, Seq: seq,
-					Reason: fmt.Sprintf("sequence break: got seq %d, want %d", rec.Seq, seq+1)}
-				break walk
-			}
-			if rec.Prev != head {
-				r.Fault = &Fault{Segment: name, Offset: off, Seq: seq,
-					Reason: fmt.Sprintf("hash chain break at seq %d: prev-hash does not match the preceding record", rec.Seq)}
-				break walk
-			}
-			if rec.Frame == FrameCheckpoint {
-				claim, cerr := parseCheckpoint(rec.Checkpoint)
-				if cerr != nil {
-					r.Fault = &Fault{Segment: name, Offset: off, Seq: seq, Reason: cerr.Error()}
-					break walk
-				}
-				signer, cerr := claim.verify(rec, head, opts.Trust, opts.Now)
-				if cerr != nil {
-					r.Fault = &Fault{Segment: name, Offset: off, Seq: seq, Reason: cerr.Error()}
-					break walk
-				}
-				r.Checkpoints++
-				r.LastCheckpointSeq = rec.Seq
-				r.Signer = signer.SubjectName
-			} else {
-				r.Events++
-			}
-			head = sha256.Sum256(data[off : off+int64(n)])
-			seq = rec.Seq
-			r.Records++
-			off += int64(n)
 		}
 	}
-	r.Head = head
-	r.LastSeq = seq
+	seq, head := r.LastSeq, r.Head
 	if r.LastCheckpointSeq > 0 {
 		r.Unsealed = seq - r.LastCheckpointSeq
 	} else {
@@ -181,4 +141,39 @@ walk:
 		}
 	}
 	return r, nil
+}
+
+// extend checks one framed record against the chain verified so far —
+// sequence, prev-hash link and, for a checkpoint, its claim and
+// signature — and on success advances the report over it.
+func (r *Report) extend(framed []byte, opts VerifyOptions) error {
+	rec, _, err := DecodeRecord(framed)
+	if err != nil {
+		return err
+	}
+	if rec.Seq != r.LastSeq+1 {
+		return fmt.Errorf("sequence break: got seq %d, want %d", rec.Seq, r.LastSeq+1)
+	}
+	if rec.Prev != r.Head {
+		return fmt.Errorf("hash chain break at seq %d: prev-hash does not match the preceding record", rec.Seq)
+	}
+	if rec.Frame == FrameCheckpoint {
+		claim, err := parseCheckpoint(rec.Checkpoint)
+		if err != nil {
+			return err
+		}
+		signer, err := claim.verify(rec, r.Head, opts.Trust, opts.Now)
+		if err != nil {
+			return err
+		}
+		r.Checkpoints++
+		r.LastCheckpointSeq = rec.Seq
+		r.Signer = signer.SubjectName
+	} else {
+		r.Events++
+	}
+	r.Head = sha256.Sum256(framed)
+	r.LastSeq = rec.Seq
+	r.Records++
+	return nil
 }

@@ -4,17 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/seglog"
 )
 
-// Wire layout of one record:
+// Wire layout of one record body, inside the seglog frame (uint32 LE
+// length, uint32 LE CRC-32C):
 //
-//	uint32 LE  body length
-//	uint32 LE  CRC-32C (Castagnoli) of body
-//	body:
 //	  [0]      version (1)
 //	  [1]      kind (KindAdd | KindAck)
 //	  [2:10]   uint64 LE sequence number
@@ -60,7 +58,6 @@ const (
 
 const (
 	recordVersion = 1
-	headerSize    = 8 // length + CRC
 
 	// flagForwarded marks an item received through federation hand-off;
 	// it must never be forwarded again (one-hop loop guard).
@@ -86,7 +83,12 @@ var (
 	ErrCorruptRecord = errors.New("wal: corrupt record")
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// format names the log's segments and bounds its frames.
+var format = seglog.Format{
+	Prefix: "seg-", Suffix: ".wal",
+	MinBody: 10, MaxBody: MaxPayload + 64,
+	Short: ErrShortRecord, Corrupt: ErrCorruptRecord,
+}
 
 // Record is one WAL entry.
 type Record struct {
@@ -111,9 +113,7 @@ type Seq uint64
 // AppendRecord encodes rec onto dst and returns the extended slice.
 func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header backfilled below
-	bodyStart := len(dst)
-	dst = append(dst, recordVersion, byte(rec.Kind))
+	dst = append(seglog.Begin(dst), recordVersion, byte(rec.Kind))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Seq))
 	switch rec.Kind {
 	case KindAdd:
@@ -145,10 +145,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	default:
 		return dst[:start], fmt.Errorf("%w: bad kind %d", ErrCorruptRecord, rec.Kind)
 	}
-	body := dst[bodyStart:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, crcTable))
-	return dst, nil
+	return seglog.End(dst, start), nil
 }
 
 // DecodeRecord decodes one record from the front of b, returning the
@@ -158,19 +155,9 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 // Payload aliases b.
 func DecodeRecord(b []byte) (Record, int, error) {
 	var rec Record
-	if len(b) < headerSize {
-		return rec, 0, ErrShortRecord
-	}
-	bodyLen := binary.LittleEndian.Uint32(b)
-	if bodyLen < 10 || bodyLen > MaxPayload+64 {
-		return rec, 0, fmt.Errorf("%w: implausible body length %d", ErrCorruptRecord, bodyLen)
-	}
-	if uint32(len(b)-headerSize) < bodyLen {
-		return rec, 0, ErrShortRecord
-	}
-	body := b[headerSize : headerSize+int(bodyLen)]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return rec, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
+	body, n, err := format.Split(b)
+	if err != nil {
+		return rec, 0, err
 	}
 	if body[0] != recordVersion {
 		return rec, 0, fmt.Errorf("%w: version %d", ErrCorruptRecord, body[0])
@@ -191,7 +178,6 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		rec.Forwarded = flags&flagForwarded != 0
 		rest = rest[9:]
 		var field []byte
-		var err error
 		if field, rest, err = take16(rest); err != nil {
 			return rec, 0, err
 		}
@@ -229,7 +215,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	default:
 		return rec, 0, fmt.Errorf("%w: bad kind %d", ErrCorruptRecord, body[1])
 	}
-	return rec, headerSize + int(bodyLen), nil
+	return rec, n, nil
 }
 
 func take16(b []byte) (field, rest []byte, err error) {

@@ -5,6 +5,10 @@
 // KindAck when it is delivered, expires or is dropped — so replaying
 // the log reconstructs exactly the set of undelivered items.
 //
+// The log is built on internal/seglog, which owns framing, segment
+// files, staged appends, the fsync path, fault injection and rotation;
+// this package keeps the queue policy on top of it.
+//
 // Durability contract: an append is durable once it has been fsynced
 // (SyncInterval == 0 syncs every append before returning; a positive
 // interval batches appends in memory and a background flusher writes
@@ -20,68 +24,43 @@
 //
 // The log is segmented: the active segment takes appends; when it
 // outgrows SegmentBytes the log compacts — live records are rewritten
-// into a fresh segment and every older segment is deleted — so disk
-// usage tracks the live queue, not lifetime traffic.
+// into a fresh segment and, once that is fsynced, every older segment
+// is deleted, including any a crash left behind mid-compaction — so
+// disk usage tracks the live queue, not lifetime traffic.
 package wal
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
+
+	"jxtaoverlay/internal/seglog"
 )
 
-// FaultPoint names an instant the fault-injection hook can observe (and
-// kill the log at). The points bracket the two operations whose
-// ordering recovery invariants depend on: the buffered write of a
-// record and the fsync that makes it durable.
-type FaultPoint int
+// The fault-injection seam is seglog's: FaultFunc is called at each
+// FaultPoint — before/after a record's write and before/after the fsync
+// that makes it durable — and a non-nil return simulates the process
+// dying there. The log goes sticky-failed — every later append or sync
+// fails with ErrLogFailed — so the test can then reopen the directory
+// and assert what recovery reconstructs from the bytes on disk.
+type (
+	FaultPoint = seglog.FaultPoint
+	FaultFunc  = seglog.FaultFunc
+)
 
 // Fault points.
 const (
-	// BeforeAppend fires before a record's bytes are written (or, with
-	// batched syncing, staged): a crash here loses the record entirely.
-	BeforeAppend FaultPoint = iota
-	// AfterAppend fires after the write but before any fsync: the record
-	// is in the OS page cache (or, with batched syncing, the staging
-	// buffer), durable only by luck.
-	AfterAppend
-	// BeforeSync fires on entry to fsync: everything written is still
-	// only as durable as the page cache.
-	BeforeSync
-	// AfterSync fires after a successful fsync: everything appended so
-	// far is durable.
-	AfterSync
+	BeforeAppend = seglog.BeforeAppend
+	AfterAppend  = seglog.AfterAppend
+	BeforeSync   = seglog.BeforeSync
+	AfterSync    = seglog.AfterSync
 )
 
-// String names the point for test output.
-func (p FaultPoint) String() string {
-	switch p {
-	case BeforeAppend:
-		return "before-append"
-	case AfterAppend:
-		return "after-append"
-	case BeforeSync:
-		return "before-sync"
-	case AfterSync:
-		return "after-sync"
-	default:
-		return fmt.Sprintf("fault-point-%d", int(p))
-	}
-}
-
-// FaultFunc is the deterministic fault-injection hook: return a non-nil
-// error to simulate the process dying at that point. The log goes
-// sticky-failed — every later append or sync fails with ErrLogFailed —
-// so the test can then reopen the directory and assert what recovery
-// reconstructs from the bytes that made it to disk.
-type FaultFunc func(p FaultPoint) error
-
 // ErrInjected is a convenient error for FaultFunc implementations.
-var ErrInjected = errors.New("wal: injected crash")
+var ErrInjected = seglog.ErrInjected
 
 // ErrLogFailed is returned by appends after the log has failed (an
 // injected crash or a real I/O error). The in-memory relay keeps
@@ -108,7 +87,7 @@ type Options struct {
 	// OnSync, when set, observes every successful fsync with its start
 	// time and duration — the relay's tracer uses it to attribute
 	// fsync-wait to the traces staged behind that sync. The callback
-	// may run with log locks held and MUST NOT call back into the Log.
+	// runs with log locks held and MUST NOT call back into the Log.
 	OnSync func(start time.Time, d time.Duration)
 }
 
@@ -119,44 +98,22 @@ type RecoveryStats struct {
 	// Acked is how many adds were discarded because an ack retired them
 	// — the "delivered/expired while down must not resurrect" guard.
 	Acked int
-	// TornBytes is how many trailing bytes were truncated off the final
-	// segment (a crash mid-append).
+	// TornBytes is how many trailing bytes were truncated off the last
+	// segment holding data (a crash mid-append).
 	TornBytes int64
-	// CorruptSegments counts non-final segments whose replay stopped
+	// CorruptSegments counts earlier segments whose replay stopped
 	// early on a corrupt record (disk damage, not a crash artifact).
 	CorruptSegments int
 }
 
 // Log is an open write-ahead queue log.
 type Log struct {
-	opts Options
-
-	// syncMu serializes batched fsyncs (the flusher and Sync). It is
-	// acquired BEFORE mu, never while holding it: the fsync itself runs
-	// with mu released, so appends keep flowing while the disk catches
-	// up — holding the append lock across an fsync would turn every
-	// flush interval into a queue-wide stall.
-	syncMu sync.Mutex
-
-	mu       sync.Mutex
-	f        *os.File
-	segIndex int
-	segBytes int64
-	buf      []byte // reusable encode buffer (guarded by mu)
-	stage    []byte // batched mode: encoded records awaiting the flusher
-	spare    []byte // recycled staging buffer (swapped with stage per flush)
-	nextSeq  Seq
-	live     map[Seq]Record // undelivered adds, for compaction
-	dirty    bool           // written but not fsynced
-	err      error          // sticky failure
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mu      sync.Mutex // guards the fields below and the segment log
+	log     *seglog.Log[Record]
+	nextSeq Seq
+	live    map[Seq]Record // undelivered adds, for compaction
+	dirty   bool           // set by each logged mutation, cleared by each completed fsync
 }
-
-const defaultSegmentBytes = 4 << 20
-
-func segName(i int) string { return fmt.Sprintf("seg-%08d.wal", i) }
 
 // Open replays the segments in dir (creating it if needed), returning
 // the log ready for appends plus the recovered live records and replay
@@ -167,109 +124,85 @@ func Open(opts Options) (*Log, []Record, RecoveryStats, error) {
 	if opts.Dir == "" {
 		return nil, nil, stats, errors.New("wal: Options.Dir is required")
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, nil, stats, err
-	}
-	entries, err := os.ReadDir(opts.Dir)
+	l := &Log{live: make(map[Seq]Record), nextSeq: 1}
+	log, torn, err := seglog.Open(seglog.Options[Record]{
+		Dir: opts.Dir, Format: format, Mu: &l.mu,
+		SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
+		Faults: opts.Faults, Failed: ErrLogFailed,
+		OnSync: func(start time.Time, d time.Duration) {
+			l.dirty = false
+			if opts.OnSync != nil {
+				opts.OnSync(start, d)
+			}
+		},
+		Encode: AppendRecord,
+		Replay: func(b []byte) error {
+			rec, _, err := DecodeRecord(b)
+			if err != nil {
+				return err
+			}
+			switch rec.Kind {
+			case KindAdd:
+				l.live[rec.Seq] = rec
+			case KindAck:
+				if _, ok := l.live[rec.Seq]; ok {
+					delete(l.live, rec.Seq)
+					stats.Acked++
+				}
+			}
+			l.nextSeq = max(l.nextSeq, rec.Seq+1)
+			return nil
+		},
+		// Lenient replay: a damaged tail is a crash artifact and is
+		// truncated; the same damage mid-way through an earlier segment
+		// cannot come from a crash (later segments were created after
+		// it) — replay keeps everything before it but counts the
+		// segment so callers can surface the tampering.
+		Damaged: func(_ seglog.Loc, _ error, tail bool) error {
+			if !tail {
+				stats.CorruptSegments++
+			}
+			return nil
+		},
+		Compact: l.compact,
+	})
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	var segs []int
-	for _, e := range entries {
-		var i int
-		if n, _ := fmt.Sscanf(e.Name(), "seg-%d.wal", &i); n == 1 {
-			segs = append(segs, i)
-		}
-	}
-	sort.Ints(segs)
+	l.log = log
+	stats.TornBytes = torn
 
-	l := &Log{opts: opts, live: make(map[Seq]Record), nextSeq: 1, stop: make(chan struct{})}
-	for si, seg := range segs {
-		final := si == len(segs)-1
-		path := filepath.Join(opts.Dir, segName(seg))
-		if err := l.replaySegment(path, final, &stats); err != nil {
-			return nil, nil, stats, err
-		}
+	// Neither the live map nor the caller may alias the replay buffers.
+	for seq, rec := range l.live {
+		rec.Payload = bytes.Clone(rec.Payload)
+		l.live[seq] = rec
 	}
-
-	// Open (or create) the active segment.
-	l.segIndex = 0
-	if len(segs) > 0 {
-		l.segIndex = segs[len(segs)-1]
-	}
-	path := filepath.Join(opts.Dir, segName(l.segIndex))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	if fi, err := f.Stat(); err == nil {
-		l.segBytes = fi.Size()
-	}
-	l.f = f
-
 	recovered := make([]Record, 0, len(l.live))
-	for _, rec := range l.live {
-		rec.Payload = append([]byte(nil), rec.Payload...)
-		recovered = append(recovered, rec)
-	}
-	sort.Slice(recovered, func(i, j int) bool { return recovered[i].Seq < recovered[j].Seq })
-	// The live map must not alias the replay buffers either.
-	for _, rec := range recovered {
-		l.live[rec.Seq] = rec
+	for _, seq := range slices.Sorted(maps.Keys(l.live)) {
+		recovered = append(recovered, l.live[seq])
 	}
 	stats.Live = len(recovered)
-
-	if opts.SyncInterval > 0 {
-		l.wg.Add(1)
-		go l.flusher(l.stop)
-	}
 	return l, recovered, stats, nil
 }
 
-// replaySegment folds one segment's records into l.live. A torn or
-// corrupt record in the FINAL segment is a crash artifact: replay stops
-// there and the tail is truncated so new appends start at a clean
-// boundary. The same damage mid-way through an earlier segment cannot
-// come from a crash (later segments were created after it) — replay
-// still keeps everything before the damage but counts the segment so
-// callers can surface the tampering.
-func (l *Log) replaySegment(path string, final bool, stats *RecoveryStats) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// compact seeds a fresh segment with the live set in sequence order:
+// delivered and expired records are reclaimed by leaving them out. With
+// batched syncing, adds still staged for the flusher land in the seed
+// and again in the next batch; replay keys adds by sequence number, so
+// the copy is harmless.
+func (l *Log) compact(dst []byte) ([]byte, error) {
+	seqs := make([]Seq, 0, len(l.live))
+	for seq := range l.live {
+		seqs = append(seqs, seq)
 	}
-	off := 0
-	for off < len(data) {
-		rec, n, err := DecodeRecord(data[off:])
-		if err != nil {
-			if final {
-				stats.TornBytes += int64(len(data) - off)
-				if terr := os.Truncate(path, int64(off)); terr != nil {
-					return terr
-				}
-			} else {
-				stats.CorruptSegments++
-			}
-			break
+	slices.Sort(seqs)
+	var err error
+	for _, seq := range seqs {
+		if dst, err = AppendRecord(dst, l.live[seq]); err != nil {
+			return nil, err
 		}
-		switch rec.Kind {
-		case KindAdd:
-			l.live[rec.Seq] = rec
-		case KindAck:
-			if _, ok := l.live[rec.Seq]; ok {
-				delete(l.live, rec.Seq)
-				stats.Acked++
-			}
-		}
-		if rec.Seq >= l.nextSeq {
-			l.nextSeq = rec.Seq + 1
-		}
-		off += n
 	}
-	return nil
+	return dst, nil
 }
 
 // AppendAdd persists one enqueued item and returns its sequence number.
@@ -280,25 +213,14 @@ func (l *Log) replaySegment(path string, final bool, stats *RecoveryStats) error
 func (l *Log) AppendAdd(rec Record) (Seq, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
-	}
-	rec.Kind = KindAdd
-	rec.Seq = l.nextSeq
-	if l.opts.SyncInterval > 0 {
-		if err := l.stageLocked(rec); err != nil {
-			return 0, err
-		}
-		l.nextSeq++
-		l.live[rec.Seq] = rec
-		return rec.Seq, nil
-	}
-	if err := l.appendLocked(rec); err != nil {
+	rec.Kind, rec.Seq = KindAdd, l.nextSeq
+	if _, err := l.log.Append(rec); err != nil {
 		return 0, err
 	}
 	l.nextSeq++
 	l.live[rec.Seq] = rec
-	return rec.Seq, l.maybeRotateLocked()
+	l.dirty = true
+	return rec.Seq, nil
 }
 
 // AppendAck retires a previously appended item. Acks for sequence 0
@@ -310,297 +232,49 @@ func (l *Log) AppendAck(seq Seq, reason AckReason) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	rec := Record{Kind: KindAck, Seq: seq, Reason: reason}
-	if l.opts.SyncInterval > 0 {
-		if err := l.stageLocked(rec); err != nil {
-			return err
-		}
-		delete(l.live, seq)
-		return nil
-	}
-	if err := l.appendLocked(rec); err != nil {
+	if _, err := l.log.Append(Record{Kind: KindAck, Seq: seq, Reason: reason}); err != nil {
 		return err
 	}
 	delete(l.live, seq)
-	return l.maybeRotateLocked()
-}
-
-// stageLocked encodes rec into the in-memory staging buffer instead of
-// writing it: the flusher (or Sync) drains the whole batch with a
-// single write() immediately before its fsync. Until then the record
-// exists only in process memory — lost in a crash, which the
-// durability contract allows for anything not yet fsynced — so the
-// append path costs an encode and nothing else.
-func (l *Log) stageLocked(rec Record) error {
-	if err := l.fault(BeforeAppend); err != nil {
-		return err
-	}
-	var err error
-	l.stage, err = AppendRecord(l.stage, rec)
-	if err != nil {
-		return err
-	}
-	return l.fault(AfterAppend)
-}
-
-func (l *Log) appendLocked(rec Record) error {
-	if err := l.fault(BeforeAppend); err != nil {
-		return err
-	}
-	var err error
-	l.buf, err = AppendRecord(l.buf[:0], rec)
-	if err != nil {
-		return err
-	}
-	n, err := l.f.Write(l.buf)
-	l.segBytes += int64(n)
-	if err != nil {
-		l.fail(err)
-		return err
-	}
 	l.dirty = true
-	if err := l.fault(AfterAppend); err != nil {
-		return err
-	}
-	if l.opts.SyncInterval == 0 {
-		return l.syncLocked()
-	}
 	return nil
 }
 
-func (l *Log) syncLocked() error {
-	if !l.dirty {
-		return nil
-	}
-	if err := l.fault(BeforeSync); err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		l.fail(err)
-		return err
-	}
-	if l.opts.OnSync != nil {
-		l.opts.OnSync(start, time.Since(start))
-	}
-	l.dirty = false
-	return l.fault(AfterSync)
-}
+// Sync forces an fsync of everything appended before the call. The
+// fsync runs with the append lock released, so concurrent appends are
+// not stalled — they are simply not covered by this sync.
+func (l *Log) Sync() error { return l.log.Sync() }
 
-// Sync forces an fsync of everything appended before the call. Unlike
-// the append-synchronous path (SyncInterval == 0), the fsync runs with
-// the append lock released, so concurrent appends are not stalled —
-// they are simply not covered by this sync.
-func (l *Log) Sync() error {
-	return l.syncBatch()
-}
-
-// syncBatch is the batched-fsync path shared by the background flusher
-// and Sync. It swaps out the staging buffer under mu, then writes and
-// fsyncs with mu released, so appends keep flowing while the disk
-// catches up — batched mode never touches the file outside syncMu, so
-// the two syscalls here cannot race anything. The post-fsync
-// re-validation covers the sync-per-append configuration, where an
-// append can rotate the segment while a concurrent Sync() call is
-// inside fsync: the synced file has already been compacted away
-// (rotation fsyncs its replacement before deleting anything), so both
-// the result and any error from the stale file are moot.
-func (l *Log) syncBatch() error {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	if len(l.stage) == 0 && !l.dirty {
-		l.mu.Unlock()
-		return nil
-	}
-	batch := l.stage
-	l.stage = l.spare[:0]
-	l.spare = nil
-	f := l.f
-	l.dirty = false
-	l.mu.Unlock()
-
-	var written int
-	var werr error
-	if len(batch) > 0 {
-		written, werr = f.Write(batch)
-	}
-
-	l.mu.Lock()
-	if cap(batch) > cap(l.spare) {
-		l.spare = batch[:0]
-	}
-	l.segBytes += int64(written)
-	if werr != nil {
-		l.fail(werr)
-		l.mu.Unlock()
-		return werr
-	}
-	if err := l.fault(BeforeSync); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.mu.Unlock()
-
-	start := time.Now()
-	serr := f.Sync()
-	if serr == nil && l.opts.OnSync != nil {
-		l.opts.OnSync(start, time.Since(start))
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f != f {
-		return nil // rotated mid-sync; the synced file is gone
-	}
-	if serr != nil {
-		l.dirty = true
-		l.fail(serr)
-		return serr
-	}
-	if err := l.fault(AfterSync); err != nil {
-		return err
-	}
-	return l.maybeRotateLocked()
-}
-
-// fault runs the injection hook; a non-nil result kills the log.
-func (l *Log) fault(p FaultPoint) error {
-	if l.opts.Faults == nil {
-		return nil
-	}
-	if err := l.opts.Faults(p); err != nil {
-		l.fail(err)
-		return err
-	}
-	return nil
-}
-
-func (l *Log) fail(err error) {
-	if l.err == nil {
-		l.err = fmt.Errorf("%w: %w", ErrLogFailed, err)
-	}
-}
-
-// maybeRotateLocked compacts once the active segment outgrows its
-// budget: the live set is rewritten into a fresh segment (fsynced
-// before it becomes authoritative) and every older segment is deleted.
-// Delivered and expired records are reclaimed here — the new segment
-// holds only undelivered adds.
-func (l *Log) maybeRotateLocked() error {
-	if l.segBytes < l.opts.SegmentBytes {
-		return nil
-	}
-	lo := l.segIndex
-	l.segIndex++
-	path := filepath.Join(l.opts.Dir, segName(l.segIndex))
-	nf, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		l.fail(err)
-		return err
-	}
-	seqs := make([]Seq, 0, len(l.live))
-	for seq := range l.live {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	var written int64
-	for _, seq := range seqs {
-		l.buf, err = AppendRecord(l.buf[:0], l.live[seq])
-		if err == nil {
-			var n int
-			n, err = nf.Write(l.buf)
-			written += int64(n)
-		}
-		if err != nil {
-			nf.Close()
-			os.Remove(path)
-			l.segIndex--
-			l.fail(err)
-			return err
-		}
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(path)
-		l.segIndex--
-		l.fail(err)
-		return err
-	}
-	// The new segment is durable; retire the history.
-	old := l.f
-	l.f = nf
-	l.segBytes = written
-	l.dirty = false
-	old.Close()
-	for i := lo; i < l.segIndex; i++ {
-		os.Remove(filepath.Join(l.opts.Dir, segName(i)))
-	}
-	return nil
-}
-
-// LiveCount reports how many adds are currently un-acked (tests).
-func (l *Log) LiveCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.live)
-}
+// Close writes and syncs pending appends — including any staged batch
+// — unless the log already failed, then releases the file. A failed
+// log closes without touching the file again — its on-disk state is
+// whatever the "crash" left — and returns the failure.
+func (l *Log) Close() error { return l.log.Close() }
 
 // SegmentIndex reports the active segment's index (tests).
 func (l *Log) SegmentIndex() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.segIndex
+	return l.log.Active()
 }
 
-func (l *Log) flusher(stop <-chan struct{}) {
-	defer l.wg.Done()
-	t := time.NewTicker(l.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_ = l.syncBatch()
-		}
+// TearFinalRecord truncates a closed log mid-way through its last
+// record — the torn tail an interrupted append leaves behind.
+func TearFinalRecord(dir string) error {
+	loc, err := seglog.Last(dir, format)
+	if err != nil {
+		return err
 	}
+	return seglog.Tear(dir, format, loc)
 }
 
-// Close writes and syncs pending appends — including any staged batch
-// — unless the log already failed, then releases the file. A failed
-// log closes without touching the file again — its on-disk state is
-// whatever the "crash" left.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.stop != nil {
-		close(l.stop)
-		l.stop = nil
+// FlipTailCRC flips one bit inside a closed log's last record, leaving
+// the length frame intact, so the record decodes far enough to fail its
+// CRC check rather than its framing.
+func FlipTailCRC(dir string) error {
+	loc, err := seglog.Last(dir, format)
+	if err != nil {
+		return err
 	}
-	failed := l.err != nil
-	l.mu.Unlock()
-	l.wg.Wait()
-	var err error
-	if !failed {
-		err = l.syncBatch()
-	}
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f != nil {
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
-		}
-		l.f = nil
-	}
-	return err
+	return seglog.Flip(dir, loc)
 }
