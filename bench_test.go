@@ -793,6 +793,57 @@ func BenchmarkOpenSlice(b *testing.B) {
 	}
 }
 
+func BenchmarkOpenSliceCold(b *testing.B) {
+	// BenchmarkOpenSlice's receive path for a first-contact slice: every
+	// iteration's round is wrapped under a KEK the recipient has never
+	// seen, so each open pays the RSA-OAEP decrypt of a fresh KEK blob.
+	// The rounds are sealed before the timer starts; the sender's clock
+	// jumps a KEK lifetime between rounds to mint a new KEK each time.
+	sender, err := keys.NewKeyPair()
+	if err != nil {
+		b.Fatal(err)
+	}
+	senderID, err := keys.CBID(sender.Public())
+	if err != nil {
+		b.Fatal(err)
+	}
+	recv, err := keys.NewKeyPair()
+	if err != nil {
+		b.Fatal(err)
+	}
+	recipients := make([]*keys.PublicKey, 100)
+	for i := range recipients {
+		recipients[i] = recv.Public()
+	}
+	var skew time.Duration
+	sender.SetClock(func() time.Time { return time.Now().Add(skew) })
+	wires := make([][]byte, b.N)
+	for i := range wires {
+		skew += keys.PairKEKLifetime
+		d, err := core.SealGroupDetached(sender, senderID, "bench", []byte(benchPayload(1024)), recipients)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wires[i] = d.Slice(0)
+	}
+	unwraps := recv.UnwrapCalls()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, err := core.OpenSlice(recv, wires[i], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := o.VerifySignature(sender.Public()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := recv.UnwrapCalls() - unwraps; got != uint64(b.N) {
+		b.Fatalf("%d cold opens performed %d RSA unwraps", b.N, got)
+	}
+}
+
 func BenchmarkRelayDelivery(b *testing.B) {
 	for _, n := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("recipients%d", n), func(b *testing.B) {

@@ -738,7 +738,7 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	if tid != 0 {
 		sp = trace.Begin(tid, trace.StagePublish)
 	}
-	if err := b.ctl.Cache().PutParsed(doc, parsed); err != nil {
+	if err := b.ctl.CacheAdv(doc, parsed); err != nil {
 		tr.End(sp, trace.OutcomeError)
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -863,14 +863,11 @@ func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endp
 	if !b.memberOf(from, group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	recs := b.ctl.Cache().Find(advert.TypePipe, func(a advert.Advertisement) bool {
-		p := a.(*advert.Pipe)
-		return string(p.PeerID) == peer && p.Group == group
-	})
-	if len(recs) == 0 {
+	rec := b.ctl.FindPipe(keys.PeerID(peer), group)
+	if rec == nil {
 		return proto.Fail(proto.ErrNotFound)
 	}
-	return proto.OK().AddXML(proto.ElemAdv, recs[0].Doc.Canonical())
+	return proto.OK().AddXML(proto.ElemAdv, rec.Doc.Canonical())
 }
 
 func (b *Broker) handleListPeers(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {

@@ -165,7 +165,7 @@ func (b *Broker) handleFedAdv(from keys.PeerID, msg *endpoint.Message) *endpoint
 		return nil
 	}
 	src, _ := msg.GetString(proto.ElemPeer)
-	if err := b.ctl.Cache().PutParsed(doc, adv); err != nil {
+	if err := b.ctl.CacheAdv(doc, adv); err != nil {
 		return nil
 	}
 	b.fedAdvsAccepted.Add(1)

@@ -443,7 +443,7 @@ func (c *Client) PublishAdv(ctx context.Context, adv advert.Advertisement) error
 // PublishAdvDoc publishes a raw advertisement document (used by the
 // security extension to publish signed documents verbatim).
 func (c *Client) PublishAdvDoc(ctx context.Context, doc *xmldoc.Element) error {
-	if _, err := c.ctl.Cache().Put(doc); err != nil {
+	if _, err := c.ctl.CacheDoc(doc); err != nil {
 		return err
 	}
 	msg := endpoint.NewMessage().
@@ -473,12 +473,8 @@ func (c *Client) LookupAdv(ctx context.Context, advType, advID string) (advert.A
 
 // LookupPipe finds the unicast pipe advertisement of a peer in a group.
 func (c *Client) LookupPipe(ctx context.Context, peer keys.PeerID, group string) (*advert.Pipe, *xmldoc.Element, error) {
-	recs := c.ctl.Cache().Find(advert.TypePipe, func(a advert.Advertisement) bool {
-		p := a.(*advert.Pipe)
-		return p.PeerID == peer && p.Group == group
-	})
-	if len(recs) > 0 {
-		return recs[0].Adv.(*advert.Pipe), recs[0].Doc, nil
+	if rec := c.ctl.FindPipe(peer, group); rec != nil {
+		return rec.Adv.(*advert.Pipe), rec.Doc, nil
 	}
 	msg := endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpLookupPipe).
@@ -508,7 +504,7 @@ func (c *Client) cacheAdvResponse(resp *endpoint.Message) (advert.Advertisement,
 	if err != nil {
 		return nil, nil, err
 	}
-	adv, err := c.ctl.Cache().Put(doc)
+	adv, err := c.ctl.CacheDoc(doc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -688,7 +684,7 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 	if err != nil {
 		return nil
 	}
-	adv, err := c.ctl.Cache().Put(doc)
+	adv, err := c.ctl.CacheDoc(doc)
 	if err != nil {
 		return nil
 	}

@@ -18,10 +18,11 @@ import (
 const DeliveryLatencyMetric = "client_delivery_latency_ms"
 
 // BindTelemetry registers the client's delivery-latency histogram on
-// reg and starts feeding it. Registration is idempotent by name, so
-// every client bound to one registry shares one histogram — the
-// process-wide delivery quantiles. Safe to call concurrently with
-// deliveries.
+// reg and starts feeding it; a secure client's key pair also counts its
+// key unwraps there (keys.KeyPair.BindTelemetry). Registration is
+// idempotent by name, so every client bound to one registry shares one
+// histogram — the process-wide delivery quantiles. Safe to call
+// concurrently with deliveries.
 func (c *Client) BindTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -29,6 +30,9 @@ func (c *Client) BindTelemetry(reg *telemetry.Registry) {
 	c.delivery.Store(reg.Histogram(DeliveryLatencyMetric,
 		"end-to-end secure delivery latency: signed seal time to local open (ms)",
 		telemetry.LatencyBucketsMS))
+	if c.identity.Secure() {
+		c.identity.Keys.BindTelemetry(reg)
+	}
 }
 
 // DeliveryLatency returns the bound histogram (nil before

@@ -21,6 +21,7 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/pipes"
+	"jxtaoverlay/internal/xmldoc"
 )
 
 // MsgHandler consumes messages arriving on a group input pipe.
@@ -35,9 +36,14 @@ type Module struct {
 	mu       sync.Mutex
 	inPipes  map[string]*pipes.InputPipe // by group
 	pipeAdvs map[string]*advert.Pipe
-	handler  MsgHandler
-	pumpWG   sync.WaitGroup
-	closed   bool
+	// pipeIDs keeps each group's pipe ID for the module's lifetime, so a
+	// re-bind after a logout republishes the same pipe: the new
+	// advertisement replaces the old one in every cache instead of
+	// sitting beside it.
+	pipeIDs map[string]string
+	handler MsgHandler
+	pumpWG  sync.WaitGroup
+	closed  bool
 
 	announceCancel context.CancelFunc
 }
@@ -50,6 +56,7 @@ func New(ep *endpoint.Service, cache *discovery.Cache, bus *events.Bus) *Module 
 		bus:      bus,
 		inPipes:  make(map[string]*pipes.InputPipe),
 		pipeAdvs: make(map[string]*advert.Pipe),
+		pipeIDs:  make(map[string]string),
 	}
 }
 
@@ -85,9 +92,13 @@ func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 	if adv, ok := m.pipeAdvs[group]; ok {
 		return adv, nil
 	}
-	pipeID, err := advert.NewID("pipe")
-	if err != nil {
-		return nil, err
+	pipeID, ok := m.pipeIDs[group]
+	if !ok {
+		var err error
+		if pipeID, err = advert.NewID("pipe"); err != nil {
+			return nil, err
+		}
+		m.pipeIDs[group] = pipeID
 	}
 	adv := &advert.Pipe{
 		PipeID:   pipeID,
@@ -129,16 +140,17 @@ func (m *Module) pump(group string, in *pipes.InputPipe) {
 	}
 }
 
-// UnbindGroupPipe closes and forgets the group's input pipe.
+// UnbindGroupPipe closes and forgets the group's input pipe. The pipe
+// is closed under the module lock: a re-bind reuses the pipe ID, and
+// closing later could unregister the new pipe's handler.
 func (m *Module) UnbindGroupPipe(group string) {
 	m.mu.Lock()
-	in := m.inPipes[group]
-	delete(m.inPipes, group)
-	delete(m.pipeAdvs, group)
-	m.mu.Unlock()
-	if in != nil {
+	defer m.mu.Unlock()
+	if in := m.inPipes[group]; in != nil {
 		in.Close()
 	}
+	delete(m.inPipes, group)
+	delete(m.pipeAdvs, group)
 }
 
 // GroupPipeAdv returns the local pipe advertisement for a group.
@@ -158,6 +170,48 @@ func (m *Module) BoundGroups() []string {
 		out = append(out, g)
 	}
 	return out
+}
+
+// CacheDoc parses a received advertisement document and caches it with
+// CacheAdv.
+func (m *Module) CacheDoc(doc *xmldoc.Element) (advert.Advertisement, error) {
+	adv, err := advert.Parse(doc)
+	if err != nil {
+		return nil, err
+	}
+	return adv, m.CacheAdv(doc, adv)
+}
+
+// CacheAdv caches a received advertisement document whose parsed form
+// is adv. A pipe advertisement supersedes every other cached pipe of the
+// same (peer, group): a peer binds one input pipe per group, so any other
+// can only be left over from an earlier session of that peer, and a
+// message sent to it is lost.
+func (m *Module) CacheAdv(doc *xmldoc.Element, adv advert.Advertisement) error {
+	p, ok := adv.(*advert.Pipe)
+	if !ok {
+		return m.cache.PutParsed(doc, adv)
+	}
+	m.cache.PutSuperseding(doc, adv, func(old advert.Advertisement) bool {
+		o := old.(*advert.Pipe)
+		return o.PeerID == p.PeerID && o.Group == p.Group
+	})
+	return nil
+}
+
+// FindPipe returns the newest cached pipe advertisement of peer in
+// group, or nil.
+func (m *Module) FindPipe(peer keys.PeerID, group string) *discovery.Record {
+	var newest *discovery.Record
+	for _, rec := range m.cache.Find(advert.TypePipe, func(a advert.Advertisement) bool {
+		p := a.(*advert.Pipe)
+		return p.PeerID == peer && p.Group == group
+	}) {
+		if newest == nil || rec.Received.After(newest.Received) {
+			newest = rec
+		}
+	}
+	return newest
 }
 
 // SendOnPipe resolves a unicast pipe advertisement and sends one message

@@ -151,7 +151,15 @@ func Seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, r
 		if recipient == nil {
 			return nil, errors.New("core: mode requires a recipient key")
 		}
-		env, err := recipient.Encrypt(block)
+		// ModeFull has a signer, whose KEK for this recipient is reused
+		// across messages; ModeEncrypt wraps under a one-shot KEK.
+		var env *keys.Envelope
+		var err error
+		if mode == ModeFull {
+			env, err = signer.EncryptFor(recipient, block)
+		} else {
+			env, err = recipient.Encrypt(block)
+		}
 		if err != nil {
 			return nil, err
 		}

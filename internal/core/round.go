@@ -17,12 +17,13 @@ import (
 // nonce + group + body digest + recipient-set binding) is signed once
 // per round, the block is encrypted once under a fresh AES-256 content
 // key, and the only per-recipient work is wrapping that key to each
-// member (a public-key operation, ~10× cheaper than a signature).
+// member (one AES-GCM seal under the sender's KEK for that member; the
+// RSA-OAEP public-key operation is paid only when that KEK is minted).
 //
 // Wire layout (mode byte ModeGroup, then):
 //
 //	u32 wrap count
-//	per wrap: 32-byte recipient key fingerprint | u32 length | RSA-OAEP wrapped CEK
+//	per wrap: 32-byte recipient key fingerprint | u32 length | wrapped CEK (keys pair-wrap layout)
 //	u32 nonce length | AES-GCM nonce
 //	AES-GCM ciphertext of ( u32 header length | header XML | raw body )
 //

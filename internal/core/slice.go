@@ -15,7 +15,7 @@ import (
 // O(N²) wire bytes across a round. Slicing fixes that: the sender seals
 // the round ONCE (SealGroupDetached), hands the full wire to a relay
 // (the broker), and the relay re-cuts it into per-recipient ModeSlice
-// wires — each carrying only that recipient's RSA-OAEP wrap, the shared
+// wires — each carrying only that recipient's key wrap, the shared
 // ciphertext, and an O(log N) inclusion proof. The relay never sees
 // plaintext or keys: the header (and the signature over it) stays inside
 // the ciphertext, and slicing is pure byte surgery.
@@ -37,7 +37,7 @@ import (
 //
 //	u32 recipient count | u32 leaf index
 //	32-byte recipient key fingerprint
-//	u32 wrap length | RSA-OAEP wrapped CEK
+//	u32 wrap length | wrapped CEK (keys pair-wrap layout)
 //	u8 proof length | proof hashes (32 bytes each, leaf upward)
 //	u32 nonce length | AES-GCM nonce
 //	AES-GCM ciphertext of ( u32 header length | header XML | raw body )
@@ -182,7 +182,7 @@ func SealGroupDetached(signer *keys.KeyPair, sender keys.PeerID, group string, b
 	}
 	wraps := make([][]byte, len(recipients))
 	for i, r := range recipients {
-		w, err := r.WrapKey(cek)
+		w, err := signer.WrapFor(r, cek)
 		if err != nil {
 			return nil, err
 		}

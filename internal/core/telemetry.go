@@ -90,6 +90,8 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 		"Advertisement parses (cache misses in the signed-adv path).",
 		func() float64 { return u(advert.ParseCalls()) })
 	if bs != nil {
+		// The broker's key pair unwraps every secureLogin envelope.
+		bs.cfg.KeyPair.BindTelemetry(reg)
 		// Liveness: presence leases and the heartbeat surface.
 		reg.CounterFunc("core_leases_granted_total",
 			"Presence leases minted at secureLogin.",

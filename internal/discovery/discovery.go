@@ -79,6 +79,21 @@ func (c *Cache) PutParsed(doc *xmldoc.Element, adv advert.Advertisement) error {
 	return nil
 }
 
+// PutSuperseding stores doc like PutParsed and, under the same lock,
+// deletes every other record of adv's type that superseded reports as
+// replaced by adv.
+func (c *Cache) PutSuperseding(doc *xmldoc.Element, adv advert.Advertisement, superseded func(old advert.Advertisement) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := cacheKey{adv.AdvType(), adv.AdvID()}
+	for k, rec := range c.recs {
+		if k.typ == key.typ && k != key && superseded(rec.Adv) {
+			delete(c.recs, k)
+		}
+	}
+	c.recs[key] = &Record{Doc: doc.Clone(), Adv: adv, Received: c.now()}
+}
+
 // PutAdv serializes and stores an advertisement (unsigned path).
 func (c *Cache) PutAdv(adv advert.Advertisement) error {
 	doc, err := adv.Document()

@@ -8,8 +8,9 @@
 // Everything here uses only the Go standard library. Algorithm choices
 // mirror the paper's era while staying modern enough to be safe:
 // RSASSA-PKCS1-v1_5 with SHA-256 for signatures (what XMLdsig's
-// rsa-sha256 URI denotes), RSA-OAEP wrapping an AES-256-GCM content key
-// for encryption.
+// rsa-sha256 URI denotes), and for encryption an AES-256-GCM content key
+// wrapped under a key-encryption key that is itself RSA-OAEP wrapped and
+// reused per sender→recipient pair (pairwrap.go).
 package keys
 
 import (
@@ -27,7 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // DefaultRSABits is the key size used when callers do not specify one.
@@ -59,6 +62,14 @@ type KeyPair struct {
 	// cost of the secure primitives, so tests and benchmarks assert on
 	// this counter (e.g. "one header signature per fan-out round").
 	sigCalls atomic.Uint64
+	// unwrapCalls counts the RSA decrypts UnwrapKey performed.
+	unwrapCalls atomic.Uint64
+
+	// Pair key-wrap state (pairwrap.go).
+	pairOnce sync.Once
+	pair     *pairState
+	counters atomic.Pointer[pairCounters]
+	clock    atomic.Pointer[func() time.Time]
 }
 
 // NewKeyPair generates a key pair of DefaultRSABits using crypto/rand.
@@ -132,16 +143,6 @@ func (k *KeyPair) Decrypt(env *Envelope) ([]byte, error) {
 	return AEADOpen(cek, env.Nonce, env.Ciphertext)
 }
 
-// UnwrapKey recovers a content key wrapped with PublicKey.WrapKey for
-// this key pair.
-func (k *KeyPair) UnwrapKey(wrapped []byte) ([]byte, error) {
-	cek, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, k.priv, wrapped, oaepLabel)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return cek, nil
-}
-
 // MarshalPEM serializes the private key as PKCS#8 PEM, for keystore
 // persistence (the PSE-like membership service).
 func (k *KeyPair) MarshalPEM() ([]byte, error) {
@@ -189,11 +190,9 @@ func (p *PublicKey) Verify(msg, sig []byte) error {
 	return nil
 }
 
-// oaepLabel domain-separates the wrapped keys from any other OAEP use.
-var oaepLabel = []byte("jxta-overlay/wrapped-key/v1")
-
-// Envelope is the wire form of the wrapped-key encryption scheme: an
-// RSA-OAEP encrypted AES-256 content key plus the AES-GCM ciphertext.
+// Envelope is the wire form of the wrapped-key encryption scheme: a
+// wrapped AES-256 content key (pair-wrap layout, see pairwrap.go) plus
+// the AES-GCM ciphertext.
 type Envelope struct {
 	WrappedKey []byte
 	Nonce      []byte
@@ -201,34 +200,10 @@ type Envelope struct {
 }
 
 // Encrypt seals plain for the holder of the matching private key using a
-// fresh AES-256 content key wrapped under RSA-OAEP (the paper's
-// E_PKi(x) wrapped key encryption scheme).
+// fresh AES-256 content key wrapped under a one-shot KEK (the paper's
+// E_PKi(x) wrapped key encryption scheme; see WrapKey).
 func (p *PublicKey) Encrypt(plain []byte) (*Envelope, error) {
-	cek, err := NewContentKey()
-	if err != nil {
-		return nil, err
-	}
-	wrapped, err := p.WrapKey(cek)
-	if err != nil {
-		return nil, err
-	}
-	nonce, ct, err := AEADSeal(cek, plain)
-	if err != nil {
-		return nil, err
-	}
-	return &Envelope{WrappedKey: wrapped, Nonce: nonce, Ciphertext: ct}, nil
-}
-
-// WrapKey encrypts a content key to this public key under RSA-OAEP. The
-// wrap is the only per-recipient asymmetric operation of a group fan-out
-// round: one public-key exponentiation, orders of magnitude cheaper than
-// a private-key signature.
-func (p *PublicKey) WrapKey(cek []byte) ([]byte, error) {
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, p.pub, cek, oaepLabel)
-	if err != nil {
-		return nil, fmt.Errorf("keys: wrap: %w", err)
-	}
-	return wrapped, nil
+	return encrypt(plain, p.WrapKey)
 }
 
 // NewContentKey returns a fresh AES-256 content key.

@@ -38,10 +38,12 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
+	// The map grows with use: capacity is a bound, and caches that stay
+	// mostly empty (one per key pair, say) should not pay for it up front.
 	return &Cache[K, V]{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[K]*list.Element, capacity),
+		items: make(map[K]*list.Element),
 	}
 }
 

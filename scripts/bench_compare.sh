@@ -19,7 +19,13 @@
 #   - BenchmarkParseCold/canonical          ns/op (receive-side parse of
 #     a signed advertisement via the canonical fast path)
 #   - BenchmarkOpenSlice                    ns/op (full receive of one
-#     relayed round slice: unwrap + AEAD + parse + bindings + verify)
+#     relayed round slice: unwrap + AEAD + parse + bindings + verify,
+#     under a KEK the recipient has already decrypted)
+#   - BenchmarkOpenSliceCold                ns/op (the same receive under
+#     a KEK seen for the first time, i.e. with the RSA-OAEP decrypt),
+#     held to the baseline's BenchmarkOpenSlice row: snapshots taken
+#     before pair key-wrap measured every open with that decrypt, so
+#     first-contact receives keep the gate they had
 #   - BenchmarkRelayDrainDurable/recipients100  ns/op / 100 (per-slice
 #     cost of a churn round on the WAL-backed relay)
 #
@@ -110,11 +116,12 @@ fi
 echo "bench_compare: $current vs $baseline (tolerance ${tolerance}%)"
 printf '%-42s %14s %14s %9s\n' "metric" "baseline" "current" "delta"
 
-# gate NAME DIVISOR LABEL — units are ns (or signature-equivalents
-# when normalizing)
+# gate NAME DIVISOR LABEL [BASE_NAME] — units are ns (or
+# signature-equivalents when normalizing); BASE_NAME, when given, is the
+# baseline row NAME is held to
 gate() {
     local name="$1" div="$2" label="$3" base cur
-    base=$(ns_of "$baseline" "$name")
+    base=$(ns_of "$baseline" "${4:-$name}")
     cur=$(ns_of "$current" "$name")
     if [ -z "$base" ] || [ -z "$cur" ]; then
         echo "bench_compare: metric $name missing from snapshot" >&2
@@ -132,14 +139,14 @@ gate() {
     }' || fail=1
 }
 
-# gate_allocs NAME DIVISOR LABEL — absolute allocs/op comparison; never
+# gate_allocs NAME DIVISOR LABEL [BASE_NAME] — absolute allocs/op comparison; never
 # normalized (see header). Alloc counts are integers, so the percentage
 # tolerance doubles as an absolute one on lean paths: a single injected
 # allocation on a 2-alloc/op path is +50% and fails.
 alloc_tolerance="${BENCH_ALLOC_TOLERANCE:-10}"
 gate_allocs() {
     local name="$1" div="$2" label="$3" base cur
-    base=$(allocs_of "$baseline" "$name")
+    base=$(allocs_of "$baseline" "${4:-$name}")
     cur=$(allocs_of "$current" "$name")
     if [ -z "$base" ] || [ -z "$cur" ]; then
         echo "bench_compare: allocs_per_op for $name missing from snapshot" >&2
@@ -160,11 +167,13 @@ gate "BenchmarkVerifyTrusted/warm" 1 "VerifyTrusted/warm"
 gate "BenchmarkFanOutSecure/recipients100" 100 "FanOutSecure per-recipient (N=100)"
 gate "BenchmarkParseCold/canonical" 1 "ParseCold fast path"
 gate "BenchmarkOpenSlice" 1 "OpenSlice receive"
+gate "BenchmarkOpenSliceCold" 1 "OpenSlice receive, first contact" "BenchmarkOpenSlice"
 gate "BenchmarkRelayDrainDurable/recipients100" 100 "RelayDrainDurable per-slice (N=100)"
 gate_allocs "BenchmarkVerifyTrusted/warm" 1 "VerifyTrusted/warm allocs"
 gate_allocs "BenchmarkFanOutSecure/recipients100" 100 "FanOutSecure per-recipient allocs (N=100)"
 gate_allocs "BenchmarkParseCold/canonical" 1 "ParseCold fast path allocs"
 gate_allocs "BenchmarkOpenSlice" 1 "OpenSlice receive allocs"
+gate_allocs "BenchmarkOpenSliceCold" 1 "OpenSlice first-contact allocs" "BenchmarkOpenSlice"
 gate_allocs "BenchmarkRelayDrainDurable/recipients100" 100 "RelayDrainDurable per-slice allocs (N=100)"
 
 # Telemetry instrument ceilings: the inline counter/histogram are what
