@@ -2,6 +2,7 @@
 // called out in DESIGN.md. Each Benchmark maps to one experiment:
 //
 //	E1  BenchmarkJoinPlain / BenchmarkJoinSecure   — §5 join overhead (≈81.76% in the paper)
+//	    BenchmarkJoinSecureCold                    — the same join by a client the broker never issued to
 //	F2  BenchmarkMsgPeerPlain / BenchmarkMsgPeerSecure — Figure 2 (overhead vs size)
 //	A1  BenchmarkJoinSecureKeySize                 — RSA modulus ablation
 //	A2  BenchmarkEnvelopeMode                      — envelope mode ablation
@@ -100,6 +101,60 @@ func BenchmarkJoinSecure(b *testing.B) {
 		if err := sc.Logout(ctx); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkJoinSecureCold is BenchmarkJoinSecure for first logins: every
+// timed join is by a client and user the broker has never issued a
+// credential to, with no pair KEK and no signed advertisement to reuse.
+// Clients are made and closed in small batches with the timer stopped,
+// so the timed joins do not share the process with hundreds of idle
+// clients.
+func BenchmarkJoinSecureCold(b *testing.B) {
+	const batch = 16
+	env := newEnv(b)
+	ctx := context.Background()
+	for done := 0; done < b.N; done += batch {
+		b.StopTimer()
+		n := min(batch, b.N-done)
+		scs := make([]*core.SecureClient, n)
+		passwords := make([]string, n)
+		aliases := make([]string, n)
+		for i := range aliases {
+			alias, password, err := env.AddUser()
+			if err != nil {
+				b.Fatal(err)
+			}
+			aliases[i], passwords[i] = alias, password
+		}
+		// Key generation dominates the set-up; spread it over the cores.
+		errs := make([]error, n)
+		parallel.ForEach(runtime.GOMAXPROCS(0), n, func(i int) {
+			scs[i], errs[i] = env.SecureClient(aliases[i], core.ModeFull)
+		})
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC() // the key generation garbage is not the join's
+		b.StartTimer()
+		for i, sc := range scs {
+			if err := sc.SecureConnection(ctx, env.Broker.PeerID()); err != nil {
+				b.Fatal(err)
+			}
+			if err := sc.SecureLogin(ctx, passwords[i]); err != nil {
+				b.Fatal(err)
+			}
+			if err := sc.Logout(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		for _, sc := range scs {
+			sc.Close()
+		}
+		b.StartTimer()
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/lru"
 	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/telemetry"
 	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
 )
@@ -61,10 +63,22 @@ type BrokerSecurity struct {
 	// and federation forward, which the cache turns into a digest lookup.
 	vcache *xdsig.VerifyCache
 
-	mu     sync.Mutex
-	sids   map[string]time.Time
-	leases map[keys.PeerID]*lease
-	clock  func() time.Time
+	// issued holds the client credentials this broker signed, so a
+	// returning client's secureLogin hands back its still-fresh
+	// credential instead of signing a new one (see loginCredential).
+	issued *lru.Cache[issuedKey, issuedCred]
+	// credCounters are the registry instruments bound by
+	// RegisterBrokerTelemetry (nil until then).
+	credCounters atomic.Pointer[credCounters]
+
+	mu sync.Mutex
+	// sids maps each outstanding session identifier to its mint time;
+	// sidQueue holds the same sids in mint order (oldest first), so the
+	// expiry sweep pops from the front instead of scanning the map.
+	sids     map[string]time.Time
+	sidQueue []pendingSid
+	leases   map[keys.PeerID]*lease
+	clock    func() time.Time
 
 	// Liveness counters (see LivenessStats). Atomics: the telemetry
 	// pull collectors read them without the mutex.
@@ -102,6 +116,9 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 		cfg:    cfg,
 		b:      b,
 		vcache: xdsig.NewVerifyCache(cfg.Trust, cfg.VerifyCacheSize),
+		// One credential per client, like the verify cache's one signed
+		// pipe advertisement per client: the same bound serves both.
+		issued: lru.New[issuedKey, issuedCred](xdsig.DefaultVerifyCacheSize),
 		sids:   make(map[string]time.Time),
 		leases: make(map[keys.PeerID]*lease),
 		clock:  time.Now,
@@ -169,16 +186,7 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	sid := hex.EncodeToString(sidBytes)
-
-	now := bs.now()
-	bs.mu.Lock()
-	for s, t := range bs.sids { // lazy expiry sweep
-		if now.Sub(t) > bs.cfg.SidTTL {
-			delete(bs.sids, s)
-		}
-	}
-	bs.sids[sid] = now
-	bs.mu.Unlock()
+	bs.mintSid(sid)
 
 	sig, err := bs.cfg.KeyPair.Sign(chall)
 	if err != nil {
@@ -200,10 +208,49 @@ func (bs *BrokerSecurity) now() time.Time {
 	return bs.clock()
 }
 
+// pendingSid is one entry of the mint-ordered sid queue.
+type pendingSid struct {
+	sid    string
+	issued time.Time
+}
+
+// mintSid records a fresh session identifier. Sids are minted in time
+// order, so the expired ones sit at the front of sidQueue: the sweep
+// pops them and stops at the first live one, and a connect costs O(1)
+// amortized however many sids are outstanding.
+func (bs *BrokerSecurity) mintSid(sid string) {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	now := bs.clock()
+	q := bs.sidQueue
+	n := 0
+	for n < len(q) && now.Sub(q[n].issued) > bs.cfg.SidTTL {
+		delete(bs.sids, q[n].sid)
+		q[n] = pendingSid{}
+		n++
+	}
+	q = q[n:]
+	// A consumed sid leaves the map at once but stays queued until it
+	// ages out. Drop those entries when they outnumber the live ones,
+	// so the queue stays O(outstanding sids); each compaction removes
+	// at least half the queue, which keeps it O(1) amortized.
+	if len(q) > 2*len(bs.sids)+64 {
+		live := q[:0]
+		for _, e := range q {
+			if _, ok := bs.sids[e.sid]; ok {
+				live = append(live, e)
+			}
+		}
+		clear(q[len(live):])
+		q = live
+	}
+	bs.sids[sid] = now
+	bs.sidQueue = append(q, pendingSid{sid: sid, issued: now})
+}
+
 // consumeSid enforces single use: a sid is deleted the moment it is
 // presented (§4.2.2 step 5), which is what blocks login replay.
 func (bs *BrokerSecurity) consumeSid(sid string) bool {
-	now := bs.now()
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	issued, ok := bs.sids[sid]
@@ -211,7 +258,7 @@ func (bs *BrokerSecurity) consumeSid(sid string) bool {
 		return false
 	}
 	delete(bs.sids, sid)
-	return now.Sub(issued) <= bs.cfg.SidTTL
+	return bs.clock().Sub(issued) <= bs.cfg.SidTTL
 }
 
 // auditAuth records one authentication outcome — "ok", or the proto
@@ -283,12 +330,9 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 		return proto.Fail(proto.ErrAuthFailed)
 	}
 
-	// Step 8: issue cr = Cred_Cl^Br containing PK_Cl and the username.
-	clientCred, err := cred.Issue(bs.cfg.KeyPair, bs.cfg.Credential.Subject, peerID, user, cred.RoleClient, clientKey, bs.cfg.CredValidity)
-	if err != nil {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	credDoc, err := clientCred.Document()
+	// Step 8: issue cr = Cred_Cl^Br containing PK_Cl and the username —
+	// or hand back the one issued at an earlier login, while it is fresh.
+	credXML, err := bs.loginCredential(peerID, user, clientKey)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -298,7 +342,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 
 	resp := proto.OK().
 		AddString(proto.ElemGroups, joinCSV(groups)).
-		AddXML(proto.ElemCred, credDoc.Canonical())
+		AddXML(proto.ElemCred, credXML)
 	// Liveness: the response carries the presence lease the session
 	// must heartbeat to keep. Granted AFTER RegisterPeer so the lease
 	// records the session's ConnectedAt — the monotonic guard key a
@@ -308,6 +352,89 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 			AddString(proto.ElemLeaseTTL, strconv.FormatInt(ttl.Milliseconds(), 10))
 	}
 	return resp
+}
+
+// Metric names of the credential issuance counters.
+const (
+	MetricCredIssued = "core_cred_issued_total"
+	MetricCredReused = "core_cred_reused_total"
+)
+
+type credCounters struct {
+	issued, reused *telemetry.Counter
+}
+
+// bindCredTelemetry counts credential issuance and reuse on reg.
+func (bs *BrokerSecurity) bindCredTelemetry(reg *telemetry.Registry) {
+	bs.credCounters.Store(&credCounters{
+		issued: reg.Counter(MetricCredIssued,
+			"Client credentials signed at secureLogin or secureRenew."),
+		reused: reg.Counter(MetricCredReused,
+			"secureLogins answered with a still-fresh credential issued earlier, without signing."),
+	})
+}
+
+// issuedKey identifies a client credential: the peer, the username and
+// the key it certifies. A different key or username never matches.
+type issuedKey struct {
+	peer keys.PeerID
+	user string
+	fp   [32]byte
+}
+
+// issuedCred is the canonical XML of a credential this broker issued,
+// as secureLogin returns it, and the credential's NotBefore.
+type issuedCred struct {
+	xml       []byte
+	notBefore time.Time
+}
+
+// loginCredential returns the canonical credential secureLogin hands a
+// client that passed every check. A credential issued to the same
+// (peer, username, key) is returned again while more than half of
+// CredValidity is left and its NotBefore has passed; otherwise a fresh
+// one is signed and replaces it. Reuse is sound because nothing revokes
+// credentials and a credential carries no per-session field, so the
+// client gets exactly what a fresh issue would certify, and a reused
+// credential never outlives its first issue plus CredValidity.
+func (bs *BrokerSecurity) loginCredential(peer keys.PeerID, user string, key *keys.PublicKey) ([]byte, error) {
+	fp, err := key.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	k := issuedKey{peer: peer, user: user, fp: fp}
+	now := bs.now()
+	if ic, ok := bs.issued.Get(k, now); ok && !now.Before(ic.notBefore) {
+		if c := bs.credCounters.Load(); c != nil {
+			c.reused.Inc()
+		}
+		return ic.xml, nil
+	}
+	ic, err := bs.issueFresh(k, key)
+	if err != nil {
+		return nil, err
+	}
+	return ic.xml, nil
+}
+
+// issueFresh signs a fresh client credential and makes it the one later
+// logins of k reuse. Its cache entry dies when half its validity is
+// left, so a reused credential always has more than that to run.
+func (bs *BrokerSecurity) issueFresh(k issuedKey, key *keys.PublicKey) (issuedCred, error) {
+	c, err := bs.IssueClientCredential(k.peer, k.user, key)
+	if err != nil {
+		return issuedCred{}, err
+	}
+	doc, err := c.Document()
+	if err != nil {
+		return issuedCred{}, err
+	}
+	ic := issuedCred{xml: doc.Canonical(), notBefore: c.NotBefore}
+	bs.issued.Put(k, ic, c.NotAfter.Add(-bs.cfg.CredValidity/2))
+	if cc := bs.credCounters.Load(); cc != nil {
+		cc.issued.Inc()
+	}
+	return ic, nil
 }
 
 // verifyAdv is the signed-advertisement acceptance policy: structural

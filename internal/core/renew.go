@@ -11,7 +11,6 @@ import (
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
-	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
 )
 
@@ -102,9 +101,7 @@ func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 	id := s.Identity()
 	id.Credential = fresh
 	id.Chain = []*cred.Credential{fresh, brCred}
-	s.SetAdvSigner(func(doc *xmldoc.Element) error {
-		return xdsig.Sign(doc, s.kp, fresh, brCred)
-	})
+	s.SetAdvSigner(s.advSigs.signer(fresh, brCred))
 	return nil
 }
 
@@ -155,16 +152,18 @@ func (bs *BrokerSecurity) handleSecureRenew(from keys.PeerID, msg *endpoint.Mess
 	if err != nil || absDuration(bs.now().Sub(ts)) > 2*time.Minute {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	fresh, err := bs.IssueClientCredential(current.Subject, current.SubjectName, current.Key)
+	// Renewal always signs a fresh window, and the next secureLogin of
+	// this client reuses it.
+	fp, err := current.Key.Fingerprint()
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	freshDoc, err := fresh.Document()
+	fresh, err := bs.issueFresh(issuedKey{peer: current.Subject, user: current.SubjectName, fp: fp}, current.Key)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, "ok")
-	return proto.OK().AddXML(proto.ElemCred, freshDoc.Canonical())
+	return proto.OK().AddXML(proto.ElemCred, fresh.xml)
 }
 
 func absDuration(d time.Duration) time.Duration {

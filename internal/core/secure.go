@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -19,6 +21,7 @@ import (
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/lru"
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/parallel"
 	"jxtaoverlay/internal/pipes"
@@ -82,6 +85,10 @@ type SecureClient struct {
 	// advertisement rather than once per message.
 	vcache *xdsig.VerifyCache
 
+	// advSigs signs every advertisement this client publishes, and
+	// remembers the signatures across logins.
+	advSigs *advSigMemo
+
 	// auditor receives every client-side security refusal (the
 	// SecurityAlert surface: open, replay and verification failures) as
 	// a tamper-evident audit record. Nil = off; loads are nil-tolerant.
@@ -114,6 +121,7 @@ func NewSecureClient(cl *client.Client, trust *cred.TrustStore, opts ...Option) 
 		trust:         trust,
 		mode:          ModeFull,
 		challengeSize: 32,
+		advSigs:       newAdvSigMemo(id.Keys),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -277,8 +285,11 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	}
 	doc.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
 
-	// Step 3: Cl → Br {E_PKBr(req, sid)}.
-	env, err := brCred.Key.Encrypt(doc.Canonical())
+	// Step 3: Cl → Br {E_PKBr(req, sid)}, with the content key under
+	// this client's pair KEK for the broker, so a returning client costs
+	// the broker no RSA decrypt while the KEK lasts. The sid inside
+	// keeps the envelope single-use.
+	env, err := s.kp.EncryptFor(brCred.Key, doc.Canonical())
 	if err != nil {
 		return err
 	}
@@ -323,9 +334,7 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	}
 
 	// From here on, everything published is signed with the chain.
-	s.SetAdvSigner(func(doc *xmldoc.Element) error {
-		return xdsig.Sign(doc, s.kp, myCred, brCred)
-	})
+	s.SetAdvSigner(s.advSigs.signer(myCred, brCred))
 
 	// Liveness: record the presence lease, if the broker granted one.
 	leaseID, _ := resp.GetString(proto.ElemLease)
@@ -342,6 +351,72 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 
 	groupsCSV, _ := resp.GetString(proto.ElemGroups)
 	return s.FinishLogin(ctx, splitCSV(groupsCSV))
+}
+
+// advSigMemoSize bounds the signatures a client remembers: it
+// publishes one pipe advertisement per group and a few presence, file
+// list and statistics documents.
+const advSigMemoSize = 64
+
+// advSigMemo is an advertisement signer that remembers each Signature
+// element it produced. RSASSA-PKCS1-v1_5 is deterministic, so the
+// signature over one unsigned document under one credential chain never
+// changes: a document signed before under the same chain — the pipe
+// advertisement a client re-publishes at every login — gets a clone of
+// the element it got then, byte-identical to a fresh xdsig.Sign, with no
+// private-key operation.
+type advSigMemo struct {
+	kp   *keys.KeyPair
+	sigs *lru.Cache[[32]byte, *xmldoc.Element]
+}
+
+func newAdvSigMemo(kp *keys.KeyPair) *advSigMemo {
+	return &advSigMemo{kp: kp, sigs: lru.New[[32]byte, *xmldoc.Element](advSigMemoSize)}
+}
+
+// signer returns the client.AdvSigner that signs with the given chain.
+func (m *advSigMemo) signer(chain ...*cred.Credential) client.AdvSigner {
+	return func(doc *xmldoc.Element) error { return m.sign(doc, chain) }
+}
+
+// sign replaces any signature on doc with the enveloped signature
+// xdsig.Sign(doc, m.kp, chain...) produces.
+func (m *advSigMemo) sign(doc *xmldoc.Element, chain []*cred.Credential) error {
+	doc.RemoveChildren(xdsig.SignatureElement)
+	key, err := advSigKey(doc, chain)
+	if err != nil {
+		return err
+	}
+	if sig, ok := m.sigs.Get(key, time.Time{}); ok {
+		doc.Add(sig.Clone())
+		return nil
+	}
+	if err := xdsig.Sign(doc, m.kp, chain...); err != nil {
+		return err
+	}
+	sig := doc.Child(xdsig.SignatureElement).Clone()
+	sig.Canonical() // clones share the memoized bytes
+	m.sigs.Put(key, sig, time.Time{})
+	return nil
+}
+
+// advSigKey digests everything a signature depends on besides the key
+// pair: the unsigned canonical document and, for each chain link, its
+// body digest and its issuer's signature.
+func advSigKey(doc *xmldoc.Element, chain []*cred.Credential) ([32]byte, error) {
+	body := doc.Canonical()
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	buf = append(buf, body...)
+	for _, c := range chain {
+		d, err := c.Digest()
+		if err != nil {
+			return [32]byte{}, err
+		}
+		buf = append(buf, d...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Signature)))
+		buf = append(buf, c.Signature...)
+	}
+	return sha256.Sum256(buf), nil
 }
 
 // SecureMsgPeer implements §4.3.1: fetch and verify the destination's

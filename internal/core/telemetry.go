@@ -92,6 +92,8 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 	if bs != nil {
 		// The broker's key pair unwraps every secureLogin envelope.
 		bs.cfg.KeyPair.BindTelemetry(reg)
+		// Client credentials signed vs handed back at secureLogin.
+		bs.bindCredTelemetry(reg)
 		// Liveness: presence leases and the heartbeat surface.
 		reg.CounterFunc("core_leases_granted_total",
 			"Presence leases minted at secureLogin.",

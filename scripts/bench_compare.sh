@@ -28,6 +28,13 @@
 #     first-contact receives keep the gate they had
 #   - BenchmarkRelayDrainDurable/recipients100  ns/op / 100 (per-slice
 #     cost of a churn round on the WAL-backed relay)
+#   - BenchmarkJoinSecure                   ns/op (E1 end to end:
+#     secureConnection + secureLogin + logout of a returning client)
+#   - BenchmarkJoinSecureCold               ns/op (the same join by a
+#     client the broker never issued to), held to the baseline's
+#     BenchmarkJoinSecure row: snapshots taken before credential reuse
+#     measured every join at first-login cost, so first logins keep the
+#     gate they had
 #
 # The durable drain is additionally held to an intra-snapshot ratio:
 # within the CURRENT snapshot it must stay under BENCH_DURABLE_FACTOR
@@ -75,7 +82,7 @@ if [ -z "$current" ]; then
     current=$(mktemp --suffix=.json)
     trap 'rm -f "$current"' EXIT
     echo "bench_compare: running gated benchmarks (baseline: $baseline)"
-    BENCH="${BENCH:-BenchmarkVerifyTrusted|BenchmarkFanOutSecure|BenchmarkSignedAdvertisement|BenchmarkParseCold|BenchmarkOpenSlice|BenchmarkRelayDelivery|BenchmarkRelayDrainDurable|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkAuditOverhead|BenchmarkLivenessOverhead|BenchmarkIdemOverhead}" \
+    BENCH="${BENCH:-BenchmarkVerifyTrusted|BenchmarkFanOutSecure|BenchmarkSignedAdvertisement|BenchmarkParseCold|BenchmarkOpenSlice|BenchmarkRelayDelivery|BenchmarkRelayDrainDurable|BenchmarkJoinSecure$|BenchmarkJoinSecureCold$|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkAuditOverhead|BenchmarkLivenessOverhead|BenchmarkIdemOverhead}" \
         BENCHTIME="${BENCHTIME:-1s}" BENCH_OUT="$current" ./scripts/bench.sh >/dev/null
 fi
 [ -r "$current" ] || { echo "bench_compare: unreadable current $current" >&2; exit 2; }
@@ -169,6 +176,8 @@ gate "BenchmarkParseCold/canonical" 1 "ParseCold fast path"
 gate "BenchmarkOpenSlice" 1 "OpenSlice receive"
 gate "BenchmarkOpenSliceCold" 1 "OpenSlice receive, first contact" "BenchmarkOpenSlice"
 gate "BenchmarkRelayDrainDurable/recipients100" 100 "RelayDrainDurable per-slice (N=100)"
+gate "BenchmarkJoinSecure" 1 "JoinSecure (E1)"
+gate "BenchmarkJoinSecureCold" 1 "JoinSecure, first login" "BenchmarkJoinSecure"
 gate_allocs "BenchmarkVerifyTrusted/warm" 1 "VerifyTrusted/warm allocs"
 gate_allocs "BenchmarkFanOutSecure/recipients100" 100 "FanOutSecure per-recipient allocs (N=100)"
 gate_allocs "BenchmarkParseCold/canonical" 1 "ParseCold fast path allocs"
